@@ -18,6 +18,7 @@ import (
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/lp"
 	model "mbsp/internal/mbsp"
+	"mbsp/internal/mip"
 	"mbsp/internal/partition"
 	"mbsp/internal/portfolio"
 	"mbsp/internal/twostage"
@@ -473,13 +474,13 @@ func BenchmarkMIPNode(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name string
-		cold bool
-	}{{"warm", false}, {"cold", true}} {
+		lp   mip.LPMode
+	}{{"warm", mip.LPWarm}, {"cold", mip.LPCold}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var stats partition.SolverStats
 				_, _, _, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{
-					TimeLimit: 30 * time.Second, ColdStartLP: bc.cold, Stats: &stats,
+					TimeLimit: 30 * time.Second, LP: bc.lp, Stats: &stats,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -55,6 +55,7 @@ import (
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/lp"
 	"mbsp/internal/mbsp"
+	"mbsp/internal/mip"
 	"mbsp/internal/partition"
 	"mbsp/internal/portfolio"
 	"mbsp/internal/workloads"
@@ -439,7 +440,7 @@ type solverJSON struct {
 // degenerateJSON records the degenerate-model leg: the P=1 k-means
 // scheduling ILP whose massively degenerate relaxations used to stall
 // the warm dual re-solves into cold fallbacks (the ROADMAP open item
-// fixed by the Harris/BFRT ratio tests + EXPAND perturbation in
+// fixed by the BFRT ratio test + EXPAND perturbation in
 // internal/lp). The node limit binds, so every count is deterministic;
 // the no-perturbation ablation re-searches the same tree with
 // perturbation off to keep the before/after ratio visible across PRs.
@@ -477,8 +478,8 @@ type luJSON struct {
 	BasisNnz      int64   `json:"basis_nnz"`
 	FillRatio     float64 `json:"fill_ratio"`
 	FactorSeconds float64 `json:"factor_seconds"`
-	SolveSeconds  float64 `json:"solve_seconds"` // FTRAN + BTRAN time
-	FtranShare    float64 `json:"ftran_time_share"`
+	SolveSeconds  float64 `json:"solve_seconds"`       // FTRAN + BTRAN time
+	TrisolveShare float64 `json:"trisolve_time_share"` // SolveSeconds / Seconds
 	Seconds       float64 `json:"seconds"`
 }
 
@@ -540,7 +541,7 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 		out.WarmSeconds += warmElapsed.Seconds()
 		coldStart := time.Now()
 		_, coldCut, coldOpt, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{
-			TimeLimit: timeout, ColdStartLP: true, Stats: &coldStats,
+			TimeLimit: timeout, LP: mip.LPCold, Stats: &coldStats,
 		})
 		if err != nil {
 			fatal(fmt.Errorf("solver experiment on %s (cold): %w", inst.Name, err))
@@ -734,11 +735,12 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 
 // runDegenerateLeg measures the anti-degeneracy machinery on the P=1
 // k-means scheduling ILP — the fixture whose relaxations are degenerate
-// enough that, before the Harris/BFRT ratio tests and EXPAND
+// enough that, before the BFRT ratio test and EXPAND
 // perturbation, warm dual re-solves exhausted their pivot budget and
 // fell back to cold solves. The leg runs the tree search twice over the
 // same 20-node limit (binding, hence deterministic counts): once with
-// perturbation on (the default) and once with the NoPerturb ablation.
+// perturbation on (the default) and once with the mip.LPNoPerturb
+// ablation.
 // Hard gates here catch wiring breaks (perturbation not reaching the
 // tree search, clean-up dominating); the trajectory gate against
 // -baseline lives with the other baseline checks in runSolver.
@@ -762,7 +764,7 @@ func runDegenerateLeg(out *solverJSON) {
 	if err != nil {
 		fatal(fmt.Errorf("solver experiment (degenerate leg): %w", err))
 	}
-	opts.NoPerturb = true
+	opts.LP = mip.LPNoPerturb
 	_, ablation, err := ilpsched.Solve(inst.DAG, arch, opts)
 	if err != nil {
 		fatal(fmt.Errorf("solver experiment (degenerate ablation): %w", err))
@@ -832,13 +834,13 @@ func runLULeg(out *solverJSON) {
 		l.FillRatio = float64(l.FillNnz) / float64(l.BasisNnz)
 	}
 	if l.Seconds > 0 {
-		l.FtranShare = l.SolveSeconds / l.Seconds
+		l.TrisolveShare = l.SolveSeconds / l.Seconds
 	}
 	out.LU = l
-	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN/BTRAN)\n",
+	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN+BTRAN)\n",
 		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.Refactors, l.EtaPivots,
 		l.HotSolves, l.Replays, l.FillNnz, l.BasisNnz, l.FillRatio,
-		l.FactorSeconds, l.SolveSeconds, l.Seconds, 100*l.FtranShare)
+		l.FactorSeconds, l.SolveSeconds, l.Seconds, 100*l.TrisolveShare)
 	if !stats.UsedILP {
 		fatal(fmt.Errorf("solver experiment: LU leg no longer enters the tree search (rows=%d, status=%s) — the dense-ceiling unlock regressed", stats.ModelRows, stats.ILPStatus))
 	}

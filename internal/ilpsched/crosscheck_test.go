@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mbsp/internal/mbsp"
+	"mbsp/internal/mip"
 	"mbsp/internal/workloads"
 )
 
@@ -59,8 +60,7 @@ func TestWarmStackMatchesReferenceOnRegistry(t *testing.T) {
 			t.Fatalf("%s: warm stack: %v", inst.Name, err)
 		}
 		refOpts := crossCheckOpts()
-		refOpts.LPColdStart = true
-		refOpts.LPReference = true
+		refOpts.LP = mip.LPReference
 		ref, refStats, err := Solve(inst.DAG, arch, refOpts)
 		if err != nil {
 			t.Fatalf("%s: reference stack: %v", inst.Name, err)

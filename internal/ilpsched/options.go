@@ -51,10 +51,6 @@ type Options struct {
 	// step start (constraint (3) without the same-step term). The time
 	// horizon grows accordingly; only small instances remain tractable.
 	NoStepMerging bool
-	// RequireComputeAll adds Σ compute ≥ 1 per non-source node. Valid
-	// whenever every node has a path to a sink (true for all bundled
-	// workloads); tightens the relaxation. Default true.
-	RequireComputeAll bool
 	// TimeLimit bounds the branch-and-bound search. Default 10s.
 	TimeLimit time.Duration
 	// NodeLimit bounds the search tree size. Default 5000.
@@ -83,25 +79,19 @@ type Options struct {
 	// across solvers of the same instance and model; the caller owns
 	// that invariant.
 	Incumbent *mip.Incumbent
-	// Boundary conditions for divide-and-conquer subproblems.
-	InitialRed [][]int // per processor, nodes red at step 0
-	NeedBlue   []int   // nodes (besides sinks) that must be blue at the end
+	// NeedBlue is the divide-and-conquer boundary condition: nodes
+	// (besides sinks) that must be blue at the end.
+	NeedBlue []int
 	// MIPWorkers bounds the goroutines solving branch-and-bound node
 	// relaxations concurrently (mip.Options.Workers). The solver's
 	// deterministic node accounting makes the schedule identical for any
 	// value, so callers size it purely for throughput. Default 1.
 	MIPWorkers int
-	// LPColdStart disables the warm-started dual re-solves inside the
-	// branch-and-bound tree (every node cold-starts); LPReference
-	// additionally routes each relaxation through the preserved dense
-	// reference solver. Both exist for the cross-check tests and the
-	// solver ablation benchmarks.
-	LPColdStart bool
-	LPReference bool
-	// NoPerturb disables the solver's deterministic EXPAND anti-degeneracy
-	// perturbation (mip.Options.NoPerturb); exists for the degenerate-model
-	// ablation benchmark.
-	NoPerturb bool
+	// LP selects how the branch-and-bound tree solves node relaxations
+	// (mip.Options.LP). The zero value is the production path; the
+	// others exist for the cross-check tests and the solver ablation
+	// benchmarks.
+	LP mip.LPMode
 	// Logf receives progress messages.
 	Logf func(format string, args ...interface{})
 	// Seed drives the local-search heuristic.
@@ -157,10 +147,10 @@ type Stats struct {
 	// spent removing the shifts at optimality.
 	PerturbedLPs int
 	CleanupIters int
-	LocalMoves       int
-	WarmCost         float64
-	FinalCost        float64
-	Source           string // "ilp", "local-search", "exact-pebbler", or "warm-start"
-	SolveTime        time.Duration
-	ProvedBound      float64
+	LocalMoves   int
+	WarmCost     float64
+	FinalCost    float64
+	Source       string // "ilp", "local-search", "exact-pebbler", or "warm-start"
+	SolveTime    time.Duration
+	ProvedBound  float64
 }

@@ -51,7 +51,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	opts.Incumbent.Offer(bestCost)
 
 	// Build the ILP sized by the warm start plus slack.
-	skel, err := buildSkeleton(warm, opts.InitialRed)
+	skel, err := buildSkeleton(warm)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -81,9 +81,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 			Logf:            opts.Logf,
 			Cancel:          done,
 			Workers:         opts.MIPWorkers,
-			ColdStart:       opts.LPColdStart,
-			ReferenceLP:     opts.LPReference,
-			NoPerturb:       opts.NoPerturb,
+			LP:              opts.LP,
 			Inject:          opts.Inject,
 			LUStats:         opts.LUStats,
 			SharedIncumbent: opts.Incumbent,
@@ -129,7 +127,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	// yields a provably optimal schedule — including recomputation
 	// decisions the tree search rarely reaches.
 	if arch.P == 1 && arch.L == 0 && g.N() <= exact.MaxNodes &&
-		len(opts.InitialRed) == 0 && len(opts.NeedBlue) == 0 &&
+		len(opts.NeedBlue) == 0 &&
 		(opts.Context == nil || opts.Context.Err() == nil) {
 		res, exErr := exact.SolveOpts(g, arch.R, arch.G, exact.Options{
 			NoRecompute: opts.NoRecompute,
@@ -147,7 +145,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 		}
 	}
 
-	if !opts.DisableLocalSearch && arch.P > 1 && len(opts.InitialRed) == 0 {
+	if !opts.DisableLocalSearch && arch.P > 1 {
 		r := refine.Improve(best, refine.Options{
 			Budget:    opts.LocalSearchBudget,
 			Seed:      opts.Seed,

@@ -133,8 +133,8 @@ type Result struct {
 	// reported (see CleanupIters).
 	Perturbed bool
 	// CleanupIters is the number of simplex iterations (included in Iters)
-	// the clean-up re-solve spent removing the EXPAND shifts and Harris
-	// tolerance-band residuals at the end of the solve.
+	// the clean-up re-solve spent removing the EXPAND shifts at the end of
+	// the solve.
 	CleanupIters int
 }
 
@@ -152,15 +152,10 @@ const (
 
 // Options tunes the solver. Zero values select defaults.
 type Options struct {
-	MaxIters int             // default 50·(m+n)
-	Eps      float64         // feasibility/optimality tolerance, default 1e-7
 	Deadline time.Time       // abort with IterLimit when exceeded (checked periodically)
 	Cancel   <-chan struct{} // abort with IterLimit when closed (checked periodically)
 	// Pricing selects the primal pricing rule (default Devex).
 	Pricing Pricing
-	// RefactorEvery rebuilds the basis inverse from scratch after this
-	// many pivots to bound numerical drift (default 128).
-	RefactorEvery int
 	// FreshFactor forces SolveFrom to reconstruct the factorization from
 	// the basis snapshot even when the snapshot matches the instance's
 	// live factorization. Since the sparse LU core, reconstruction
@@ -205,8 +200,17 @@ type FaultInjector interface {
 	SingularRefactor(fprint, seq uint64) bool
 }
 
-const defaultEps = 1e-7
-const defaultRefactorEvery = 128
+const (
+	// eps is the feasibility/optimality tolerance.
+	eps = 1e-7
+	// refactorEvery rebuilds the basis factorization from scratch after
+	// this many pivots to bound numerical drift.
+	refactorEvery = 128
+)
+
+// iterLimit is the simplex iteration budget of one solve over m rows and
+// n structural columns.
+func iterLimit(m, n int) int { return 50*(m+n) + 1000 }
 
 // variable status markers
 type vstat int8

@@ -196,9 +196,9 @@ type Result struct {
 	// usable parent basis, and warm solves that fell back).
 	WarmLPs, ColdLPs int
 	// PerturbedLPs counts node relaxations solved under EXPAND bound
-	// perturbation (all of them unless Options.NoPerturb); CleanupIters is
-	// the share of SimplexIters spent removing the shifts and Harris
-	// tolerance residuals at the end of those solves.
+	// perturbation (all of them unless Options.LP is LPNoPerturb);
+	// CleanupIters is the share of SimplexIters spent removing the shifts
+	// at the end of those solves.
 	PerturbedLPs int
 	CleanupIters int
 	// InjectedFaults counts faults that Options.Inject actually fired
@@ -216,8 +216,8 @@ type Result struct {
 // DefaultMaxModelRows is the shared default row ceiling above which the
 // scheduling front ends (internal/ilpsched, internal/bsp) skip the tree
 // search and keep the warm-start schedule. The trail: 2600 while warm
-// dual re-solves routinely stalled (fixed by the Harris/BFRT ratio tests
-// and EXPAND perturbation), then 3000 while the basis inverse was a
+// dual re-solves routinely stalled (fixed by the BFRT ratio test and
+// EXPAND perturbation), then 3000 while the basis inverse was a
 // dense m×m matrix and O(rows²) per simplex iteration made ≳3400-row
 // roots unfinishable in interactive budgets. The sparse LU core removed
 // that wall: per-iteration cost is O(nnz of the factors), and the
@@ -233,16 +233,45 @@ type Result struct {
 // outgrow interactive budgets even sparse.
 const DefaultMaxModelRows = 10000
 
+const (
+	// intTol is the integrality tolerance.
+	intTol = 1e-6
+	// absGap prunes a node whose relaxation bound is within absGap of the
+	// incumbent.
+	absGap = 1e-6
+)
+
+// LPMode selects how the search solves node relaxations. The zero value
+// is the production path; the others are ablation and cross-check
+// baselines.
+type LPMode int8
+
+const (
+	// LPWarm re-solves every node with the dual simplex from its
+	// parent's basis, under deterministic EXPAND bound perturbation.
+	// Perturbation is what keeps the dual re-solves from stalling on
+	// massively degenerate scheduling models, and it never changes
+	// reported solutions: shifts are removed before an LP result is
+	// returned.
+	LPWarm LPMode = iota
+	// LPCold cold-starts every node, as the pre-warm-start solver did.
+	LPCold
+	// LPReference routes every node through the preserved dense
+	// reference solver (lp.SolveDense), cold-started. The cross-check
+	// tests use it to pin the sparse/warm path against the original
+	// solver stack.
+	LPReference
+	// LPNoPerturb is LPWarm without the EXPAND perturbation.
+	LPNoPerturb
+)
+
 // Options controls the branch-and-bound search.
 type Options struct {
-	TimeLimit  time.Duration // default 10s
-	NodeLimit  int           // default 200000
-	Eps        float64       // integrality tolerance, default 1e-6
-	WarmStart  []float64     // optional feasible solution used as incumbent
-	Logf       func(format string, args ...interface{})
-	AbsGap     float64         // stop when incumbent − bound ≤ AbsGap (default 1e-6)
-	LPMaxIters int             // per-node LP iteration limit (0: lp default)
-	Cancel     <-chan struct{} // stop the search when closed, keeping the incumbent
+	TimeLimit time.Duration // default 10s
+	NodeLimit int           // default 200000
+	WarmStart []float64     // optional feasible solution used as incumbent
+	Logf      func(format string, args ...interface{})
+	Cancel    <-chan struct{} // stop the search when closed, keeping the incumbent
 
 	// Workers bounds the goroutines concurrently solving node relaxations
 	// (default 1: the search runs entirely on the calling goroutine). The
@@ -268,22 +297,8 @@ type Options struct {
 	// finds (after integrality rounding). Callers use it to validate and
 	// publish bounds to a SharedIncumbent mid-search.
 	OnIncumbent func(x []float64, obj float64)
-	// ColdStart disables dual re-solves from the parent basis, cold
-	// starting every node as the pre-warm-start solver did (ablation and
-	// cross-check baseline).
-	ColdStart bool
-	// ReferenceLP routes every node relaxation through the preserved
-	// dense reference solver (lp.SolveDense); implies cold starts. Used
-	// by the cross-check tests to pin the sparse/warm path against the
-	// original solver stack.
-	ReferenceLP bool
-	// NoPerturb disables the deterministic EXPAND bound perturbation of
-	// node relaxations (ablation and cross-check baseline). Perturbation
-	// is on by default: it is what keeps the dual re-solves from stalling
-	// on massively degenerate scheduling models, and it never changes
-	// reported solutions — shifts are removed before an LP result is
-	// returned.
-	NoPerturb bool
+	// LP selects how node relaxations are solved (default LPWarm).
+	LP LPMode
 	// Inject, when non-nil, enables the deterministic fault-injection
 	// harness: forced cold fallbacks and simulated singular
 	// refactorizations inside warm node re-solves (threaded to
@@ -314,12 +329,6 @@ func (m *Model) Solve(opts Options) Result {
 	}
 	if opts.NodeLimit == 0 {
 		opts.NodeLimit = 200000
-	}
-	if opts.Eps == 0 {
-		opts.Eps = 1e-6
-	}
-	if opts.AbsGap == 0 {
-		opts.AbsGap = 1e-6
 	}
 	deadline := time.Now().Add(opts.TimeLimit)
 	logf := opts.Logf

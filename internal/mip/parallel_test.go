@@ -77,7 +77,7 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 		name      string
 		m         *Model
 		nodeLimit int
-		noPerturb bool
+		lp        LPMode
 	}
 	var fixtures []fixture
 	for seed := int64(0); seed < 12; seed++ {
@@ -98,11 +98,11 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 	}
 	// The matrix above runs with EXPAND perturbation on (the default), so
 	// it already proves the perturbed path is worker-count independent; a
-	// NoPerturb leg proves the unperturbed path stayed deterministic too.
+	// LPNoPerturb leg proves the unperturbed path stayed deterministic too.
 	for seed := int64(100); seed < 104; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fixtures = append(fixtures, fixture{
-			name: fmt.Sprintf("mixed-%d-noperturb", seed), m: randomMixedModel(rng), noPerturb: true,
+			name: fmt.Sprintf("mixed-%d-noperturb", seed), m: randomMixedModel(rng), lp: LPNoPerturb,
 		})
 	}
 
@@ -115,7 +115,7 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 					TimeLimit: time.Minute,
 					NodeLimit: fx.nodeLimit,
 					Workers:   workers,
-					NoPerturb: fx.noPerturb,
+					LP:        fx.lp,
 				})
 				got := solveSnapshot(res)
 				if want == "" {

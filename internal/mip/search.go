@@ -291,14 +291,14 @@ func (e *bbEngine) solveNode(w int, s *bbSlot) {
 		}
 	}
 	lpOpts := lp.Options{
-		MaxIters: e.opts.LPMaxIters, Deadline: e.deadline,
-		Cancel: e.opts.Cancel,
+		Deadline: e.deadline,
+		Cancel:   e.opts.Cancel,
 		// EXPAND perturbation keyed to the node's creation sequence: the
 		// shifts are a pure function of (matrix, seq), so the relaxation
 		// result stays a pure function of the node and the determinism
 		// argument above is untouched, while sibling relaxations do not
 		// share one unlucky shift pattern.
-		Perturb: !e.opts.NoPerturb, PerturbSeq: uint64(s.nd.seq),
+		Perturb: e.opts.LP != LPNoPerturb, PerturbSeq: uint64(s.nd.seq),
 	}
 	if e.opts.Inject != nil {
 		lpOpts.Inject = e.opts.Inject
@@ -311,10 +311,10 @@ func (e *bbEngine) solveNode(w int, s *bbSlot) {
 		}
 	}
 	switch {
-	case e.opts.ReferenceLP:
+	case e.opts.LP == LPReference:
 		relax := &lp.Problem{Obj: e.m.prob.Obj, Lb: lb, Ub: ub, Rows: e.m.prob.Rows}
 		s.res = lp.SolveDense(relax, lpOpts)
-	case s.nd.basis == nil || e.opts.ColdStart:
+	case s.nd.basis == nil || e.opts.LP == LPCold:
 		s.res = e.insts[w].Solve(lb, ub, lpOpts)
 	default:
 		s.res = e.insts[w].SolveFrom(s.nd.basis, lb, ub, lpOpts)
@@ -360,7 +360,7 @@ func (e *bbEngine) commit(s *bbSlot) {
 		return
 	}
 	switch {
-	case e.opts.ReferenceLP, s.nd.basis == nil, e.opts.ColdStart, lpRes.ColdRestart:
+	case e.opts.LP == LPCold, e.opts.LP == LPReference, s.nd.basis == nil, lpRes.ColdRestart:
 		res.ColdLPs++
 	default:
 		res.WarmLPs++
@@ -390,8 +390,8 @@ func (e *bbEngine) commit(s *bbSlot) {
 		e.truncated = true
 		return
 	case lp.IterLimit:
-		// The relaxation exhausted its pivot budget (Options.LPMaxIters,
-		// or an abort surfacing as IterLimit): the node has no valid bound
+		// The relaxation exhausted its pivot budget (or an abort
+		// surfacing as IterLimit): the node has no valid bound
 		// and gets no children, leaving its subtree unexplored — like a
 		// budget-dropped child, this demotes Optimal to Feasible and
 		// Infeasible to NoSolution. Deterministic whenever the contract
@@ -406,15 +406,15 @@ func (e *bbEngine) commit(s *bbSlot) {
 	if v := e.opts.SharedIncumbent.Get(); v < cutoff {
 		cutoff = v
 	}
-	if lpRes.Obj >= cutoff-e.opts.AbsGap {
-		if lpRes.Obj < res.Obj-e.opts.AbsGap {
+	if lpRes.Obj >= cutoff-absGap {
+		if lpRes.Obj < res.Obj-absGap {
 			e.sharedCut = true // own incumbent alone would not have pruned
 		}
 		return // pruned: provably not improving on the best known bound
 	}
 	// Find most fractional integer variable.
 	branch := -1
-	worst := e.opts.Eps
+	worst := intTol
 	for j := range e.m.integer {
 		if !e.m.integer[j] {
 			continue

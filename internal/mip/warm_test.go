@@ -51,8 +51,8 @@ func TestWarmMatchesColdAndReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomBinaryModel(rng)
 		warm := m.Solve(Options{TimeLimit: 5 * time.Second})
-		cold := m.Solve(Options{TimeLimit: 5 * time.Second, ColdStart: true})
-		ref := m.Solve(Options{TimeLimit: 5 * time.Second, ReferenceLP: true})
+		cold := m.Solve(Options{TimeLimit: 5 * time.Second, LP: LPCold})
+		ref := m.Solve(Options{TimeLimit: 5 * time.Second, LP: LPReference})
 		if warm.Status != cold.Status || warm.Status != ref.Status {
 			t.Logf("seed %d: warm=%v cold=%v ref=%v", seed, warm.Status, cold.Status, ref.Status)
 			return false
@@ -111,7 +111,7 @@ func TestWarmMatchesColdLarger(t *testing.T) {
 			}
 		}
 		warm := m.Solve(Options{TimeLimit: 20 * time.Second})
-		cold := m.Solve(Options{TimeLimit: 20 * time.Second, ColdStart: true})
+		cold := m.Solve(Options{TimeLimit: 20 * time.Second, LP: LPCold})
 		if warm.Status != cold.Status {
 			t.Fatalf("seed %d: warm=%v cold=%v", seed, warm.Status, cold.Status)
 		}
@@ -135,7 +135,7 @@ func TestWarmSolvesDominate(t *testing.T) {
 	}
 	m.AddRow(coefs, lp.LE, 37)
 	warm := m.Solve(Options{})
-	cold := m.Solve(Options{ColdStart: true})
+	cold := m.Solve(Options{LP: LPCold})
 	if warm.Status != Optimal || cold.Status != Optimal {
 		t.Fatalf("warm=%v cold=%v", warm.Status, cold.Status)
 	}

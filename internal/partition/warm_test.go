@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mbsp/internal/mip"
 	"mbsp/internal/workloads"
 )
 
@@ -30,7 +31,7 @@ func TestWarmColdBipartitionAgreeOnRegistry(t *testing.T) {
 			t.Fatalf("%s: warm: %v", inst.Name, err)
 		}
 		_, coldCut, coldOpt, err := Bipartition(inst.DAG, BipartitionOptions{
-			TimeLimit: 30 * time.Second, ColdStartLP: true, Stats: &coldStats,
+			TimeLimit: 30 * time.Second, LP: mip.LPCold, Stats: &coldStats,
 		})
 		if err != nil {
 			t.Fatalf("%s: cold: %v", inst.Name, err)

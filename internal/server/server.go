@@ -593,7 +593,7 @@ type StatsSnapshot struct {
 		RetryAfterSeconds int `json:"retry_after_seconds"`
 	} `json:"admission"`
 	Persistence PersistenceStats `json:"persistence"`
-	Requests struct {
+	Requests    struct {
 		Accepted  int64 `json:"accepted"`
 		Completed int64 `json:"completed"`
 		Degraded  int64 `json:"degraded"`

@@ -5,6 +5,7 @@
 #
 #   1. go build ./...
 #   2. go vet ./...
+#   2a. gofmt -l over every Go file (fails if it lists any);
 #   2b. staticcheck ./...  (skipped with a warning when the binary is
 #       not installed — the container image does not ship it);
 #   3. go test -race ./...  (includes the solver cross-check tests: the
@@ -57,6 +58,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l"
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "${unformatted}" ]; then
+    echo "gofmt: unformatted files:" >&2
+    echo "${unformatted}" >&2
+    exit 1
+fi
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck ./..."
