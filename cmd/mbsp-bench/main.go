@@ -619,8 +619,8 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 	if len(out.Instances) == 0 {
 		fatal(fmt.Errorf("solver experiment: dataset %q has no partitionable instances", dataset))
 	}
-	runDegenerateLeg(&out)
-	runLULeg(&out)
+	gates := runDegenerateLeg(&out)
+	gates = append(gates, runLULeg(&out)...)
 	if out.WarmIters > 0 {
 		out.SpeedupIters = float64(out.ColdIters) / float64(out.WarmIters)
 	}
@@ -638,16 +638,18 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 		out.ParallelWorkers, out.ParallelSeconds, out.ParallelNodeThroughput,
 		out.ParallelSpeedup, out.GoMaxProcs)
 
-	if diverged {
-		fatal(fmt.Errorf("solver experiment: warm/cold divergence on proven-optimal instances"))
-	}
-	if parDiverged {
-		fatal(fmt.Errorf("solver experiment: Workers=%d output diverged from Workers=1 — deterministic node accounting is broken", mipWorkers))
-	}
-	if gateCold > 0 && gateWarm >= gateCold {
-		fatal(fmt.Errorf("solver experiment: warm path used %d iterations vs %d cold on proven-optimal instances — warm start regressed",
-			gateWarm, gateCold))
-	}
+	gates = append(gates,
+		gate{"warm-cold-divergence", diverged, func() error {
+			return fmt.Errorf("solver experiment: warm/cold divergence on proven-optimal instances")
+		}},
+		gate{"parallel-divergence", parDiverged, func() error {
+			return fmt.Errorf("solver experiment: Workers=%d output diverged from Workers=1 — deterministic node accounting is broken", mipWorkers)
+		}},
+		gate{"warm-start-regression", gateCold > 0 && gateWarm >= gateCold, func() error {
+			return fmt.Errorf("solver experiment: warm path used %d iterations vs %d cold on proven-optimal instances — warm start regressed",
+				gateWarm, gateCold)
+		}},
+	)
 	// Throughput gates. Wall-clock speedup needs real CPUs — on a runtime
 	// narrower than the pool the parallel leg still proves determinism,
 	// but a speedup gate would only measure scheduler overhead — and a
@@ -656,65 +658,27 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 	// floor (the tiny dataset's trees are ~10 nodes each, and even many
 	// nodes searched in under two seconds are noise-dominated) a weak
 	// speedup is reported loudly but the hard gate is the
-	// baseline-relative regression check below.
+	// baseline-relative regression gate (baselineGates).
+	smallWorkload := out.SerialSeconds < 2 || out.BBNodes < 5000
 	switch {
 	case out.GoMaxProcs < 4:
 		fmt.Printf("note: GOMAXPROCS=%d < 4, absolute speedup gate skipped (determinism gate still enforced)\n", out.GoMaxProcs)
-	case out.SerialSeconds < 2 || out.BBNodes < 5000:
-		if out.ParallelSpeedup < 1.5 {
-			fmt.Printf("warning: %d workers lifted node throughput only %.2fx on a %d-wide runtime — workload too small (%d nodes, %.2fs serial) for the absolute gate\n",
-				out.ParallelWorkers, out.ParallelSpeedup, out.GoMaxProcs, out.BBNodes, out.SerialSeconds)
-		}
-	case out.ParallelSpeedup < 1.5:
-		fatal(fmt.Errorf("solver experiment: %d workers lifted node throughput only %.2fx on a %d-wide runtime — parallel tree search regressed",
-			out.ParallelWorkers, out.ParallelSpeedup, out.GoMaxProcs))
+	case smallWorkload && out.ParallelSpeedup < 1.5:
+		fmt.Printf("warning: %d workers lifted node throughput only %.2fx on a %d-wide runtime — workload too small (%d nodes, %.2fs serial) for the absolute gate\n",
+			out.ParallelWorkers, out.ParallelSpeedup, out.GoMaxProcs, out.BBNodes, out.SerialSeconds)
 	}
+	gates = append(gates, gate{"parallel-speedup", out.GoMaxProcs >= 4 && !smallWorkload && out.ParallelSpeedup < 1.5, func() error {
+		return fmt.Errorf("solver experiment: %d workers lifted node throughput only %.2fx on a %d-wide runtime — parallel tree search regressed",
+			out.ParallelWorkers, out.ParallelSpeedup, out.GoMaxProcs)
+	}})
 	if baselinePath != "" {
 		if prev, err := readSolverBaseline(baselinePath); err != nil {
 			fmt.Printf("note: baseline %s not comparable: %v\n", baselinePath, err)
 		} else {
-			if prev.ParallelSpeedup > 0 && out.ParallelSpeedup > 0 &&
-				prev.GoMaxProcs == out.GoMaxProcs && prev.Dataset == out.Dataset &&
-				prev.ParallelWorkers == out.ParallelWorkers &&
-				out.ParallelSpeedup < 0.6*prev.ParallelSpeedup {
-				fatal(fmt.Errorf("solver experiment: parallel node-throughput speedup regressed: %.2fx vs %.2fx in %s",
-					out.ParallelSpeedup, prev.ParallelSpeedup, baselinePath))
-			}
-			// Degenerate-model regression gate: the fixture's node limit
-			// binds, so its counts are deterministic — any rise in
-			// iterations or cold fallbacks is a real anti-degeneracy
-			// regression, not noise. Baselines predating the leg skip it.
-			if prev.Degenerate != nil && out.Degenerate != nil &&
-				prev.Degenerate.Instance == out.Degenerate.Instance {
-				if out.Degenerate.SimplexIters > prev.Degenerate.SimplexIters*5/4 {
-					fatal(fmt.Errorf("solver experiment: degenerate leg regressed: %d simplex iterations vs %d in %s",
-						out.Degenerate.SimplexIters, prev.Degenerate.SimplexIters, baselinePath))
-				}
-				if out.Degenerate.ColdLPs > prev.Degenerate.ColdLPs+1 {
-					fatal(fmt.Errorf("solver experiment: degenerate leg regressed: %d cold fallbacks vs %d in %s",
-						out.Degenerate.ColdLPs, prev.Degenerate.ColdLPs, baselinePath))
-				}
-			}
-			// LU-leg regression gates: the node limit binds, so iteration,
-			// refactorization and fill counts are deterministic — any drift
-			// is a real factorization change, not noise. Baselines
-			// predating the leg skip it.
-			if prev.LU != nil && out.LU != nil && prev.LU.Instance == out.LU.Instance {
-				if out.LU.SimplexIters > prev.LU.SimplexIters*5/4 {
-					fatal(fmt.Errorf("solver experiment: LU leg regressed: %d simplex iterations vs %d in %s",
-						out.LU.SimplexIters, prev.LU.SimplexIters, baselinePath))
-				}
-				if out.LU.FillNnz > prev.LU.FillNnz*3/2 {
-					fatal(fmt.Errorf("solver experiment: LU leg regressed: fill-in %d nnz vs %d in %s",
-						out.LU.FillNnz, prev.LU.FillNnz, baselinePath))
-				}
-				if out.LU.Refactors > prev.LU.Refactors*5/4+1 {
-					fatal(fmt.Errorf("solver experiment: LU leg regressed: %d refactorizations vs %d in %s",
-						out.LU.Refactors, prev.LU.Refactors, baselinePath))
-				}
-			}
+			gates = append(gates, baselineGates(&out, &prev, baselinePath)...)
 		}
 	}
+	checkGates(gates)
 	// The JSON lands only after every gate passed: a failing run must not
 	// overwrite the tracked file, or rerunning the bench would compare
 	// the regression against itself and wave it through.
@@ -733,6 +697,93 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 	}
 }
 
+// gate is one named hard check of the solver experiment. The run exits
+// with err() on the first gate whose fail is set, before the JSON is
+// written. err runs only for a failing gate, so it may dereference
+// results that its fail condition checked for nil.
+type gate struct {
+	name string
+	fail bool
+	err  func() error
+}
+
+// checkGates exits on the first failing gate, in table order.
+func checkGates(gates []gate) {
+	for _, g := range gates {
+		if g.fail {
+			fmt.Fprintf(os.Stderr, "mbsp-bench: gate %s failed\n", g.name)
+			fatal(g.err())
+		}
+	}
+}
+
+// baselineGates are the regression gates against a previous
+// BENCH_solver.json.
+func baselineGates(out, prev *solverJSON, baselinePath string) []gate {
+	// Degenerate-model and LU-leg gates: the fixtures' node limits bind,
+	// so iteration, cold-fallback, refactorization and fill counts are
+	// deterministic — any drift is a real anti-degeneracy or
+	// factorization change, not noise. Baselines predating a leg skip it.
+	deg := prev.Degenerate != nil && out.Degenerate != nil &&
+		prev.Degenerate.Instance == out.Degenerate.Instance
+	lu := prev.LU != nil && out.LU != nil && prev.LU.Instance == out.LU.Instance
+	return []gate{
+		{"baseline-parallel-speedup", prev.ParallelSpeedup > 0 && out.ParallelSpeedup > 0 &&
+			prev.GoMaxProcs == out.GoMaxProcs && prev.Dataset == out.Dataset &&
+			prev.ParallelWorkers == out.ParallelWorkers &&
+			out.ParallelSpeedup < 0.6*prev.ParallelSpeedup, func() error {
+			return fmt.Errorf("solver experiment: parallel node-throughput speedup regressed: %.2fx vs %.2fx in %s",
+				out.ParallelSpeedup, prev.ParallelSpeedup, baselinePath)
+		}},
+		{"baseline-degenerate-iters", deg && out.Degenerate.SimplexIters > prev.Degenerate.SimplexIters*5/4, func() error {
+			return fmt.Errorf("solver experiment: degenerate leg regressed: %d simplex iterations vs %d in %s",
+				out.Degenerate.SimplexIters, prev.Degenerate.SimplexIters, baselinePath)
+		}},
+		{"baseline-degenerate-cold", deg && out.Degenerate.ColdLPs > prev.Degenerate.ColdLPs+1, func() error {
+			return fmt.Errorf("solver experiment: degenerate leg regressed: %d cold fallbacks vs %d in %s",
+				out.Degenerate.ColdLPs, prev.Degenerate.ColdLPs, baselinePath)
+		}},
+		{"baseline-lu-iters", lu && out.LU.SimplexIters > prev.LU.SimplexIters*5/4, func() error {
+			return fmt.Errorf("solver experiment: LU leg regressed: %d simplex iterations vs %d in %s",
+				out.LU.SimplexIters, prev.LU.SimplexIters, baselinePath)
+		}},
+		{"baseline-lu-fill", lu && out.LU.FillNnz > prev.LU.FillNnz*3/2, func() error {
+			return fmt.Errorf("solver experiment: LU leg regressed: fill-in %d nnz vs %d in %s",
+				out.LU.FillNnz, prev.LU.FillNnz, baselinePath)
+		}},
+		{"baseline-lu-refactors", lu && out.LU.Refactors > prev.LU.Refactors*5/4+1, func() error {
+			return fmt.Errorf("solver experiment: LU leg regressed: %d refactorizations vs %d in %s",
+				out.LU.Refactors, prev.LU.Refactors, baselinePath)
+		}},
+	}
+}
+
+// runILPLeg solves the holistic scheduling ILP of a registry instance on
+// P processors (r = 3·r0, g=1, L=10) under a binding node limit. The
+// two-minute time limit is a backstop kept independent of -timeout, so
+// every count is deterministic. label prefixes any error.
+func runILPLeg(label, instance string, p, nodeLimit int, mode mip.LPMode, lu *lp.FactorStats) (ilpsched.Stats, time.Duration) {
+	inst, err := workloads.ByName(instance)
+	if err != nil {
+		fatal(fmt.Errorf("solver experiment (%s): %w", label, err))
+	}
+	arch := mbsp.Arch{P: p, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
+	start := time.Now()
+	_, stats, err := ilpsched.Solve(inst.DAG, arch, ilpsched.Options{
+		Model:             mbsp.Sync,
+		TimeLimit:         2 * time.Minute,
+		NodeLimit:         nodeLimit,
+		LocalSearchBudget: 1,
+		Seed:              7,
+		LP:                mode,
+		LUStats:           lu,
+	})
+	if err != nil {
+		fatal(fmt.Errorf("solver experiment (%s): %w", label, err))
+	}
+	return stats, time.Since(start)
+}
+
 // runDegenerateLeg measures the anti-degeneracy machinery on the P=1
 // k-means scheduling ILP — the fixture whose relaxations are degenerate
 // enough that, before the BFRT ratio test and EXPAND
@@ -741,52 +792,32 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 // same 20-node limit (binding, hence deterministic counts): once with
 // perturbation on (the default) and once with the mip.LPNoPerturb
 // ablation.
-// Hard gates here catch wiring breaks (perturbation not reaching the
-// tree search, clean-up dominating); the trajectory gate against
-// -baseline lives with the other baseline checks in runSolver.
-func runDegenerateLeg(out *solverJSON) {
-	inst, err := workloads.ByName("k-means")
-	if err != nil {
-		fatal(fmt.Errorf("solver experiment (degenerate leg): %w", err))
-	}
-	arch := mbsp.Arch{P: 1, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	// The node limit binds; the time limit is a generous backstop kept
-	// independent of -timeout so the counts stay deterministic.
-	opts := ilpsched.Options{
-		Model:             mbsp.Sync,
-		TimeLimit:         2 * time.Minute,
-		NodeLimit:         20,
-		LocalSearchBudget: 1,
-		Seed:              7,
-	}
-	start := time.Now()
-	_, stats, err := ilpsched.Solve(inst.DAG, arch, opts)
-	if err != nil {
-		fatal(fmt.Errorf("solver experiment (degenerate leg): %w", err))
-	}
-	opts.LP = mip.LPNoPerturb
-	_, ablation, err := ilpsched.Solve(inst.DAG, arch, opts)
-	if err != nil {
-		fatal(fmt.Errorf("solver experiment (degenerate ablation): %w", err))
-	}
+// Its gates catch wiring breaks (perturbation not reaching the tree
+// search, clean-up dominating); the trajectory gates against -baseline
+// are in baselineGates.
+func runDegenerateLeg(out *solverJSON) []gate {
+	stats, elapsed := runILPLeg("degenerate leg", "k-means", 1, 20, mip.LPWarm, nil)
+	ablation, ablationElapsed := runILPLeg("degenerate ablation", "k-means", 1, 20, mip.LPNoPerturb, nil)
 	out.Degenerate = &degenerateJSON{
 		Instance: "k-means-P1", BBNodes: stats.ILPNodes,
 		SimplexIters: stats.SimplexIters, CleanupIters: stats.CleanupIters,
 		WarmLPs: stats.WarmLPs, ColdLPs: stats.ColdLPs, PerturbedLPs: stats.PerturbedLPs,
 		NoPerturbIters: ablation.SimplexIters, NoPerturbCold: ablation.ColdLPs,
-		Seconds: time.Since(start).Seconds(),
+		Seconds: (elapsed + ablationElapsed).Seconds(),
 	}
 	d := out.Degenerate
 	fmt.Printf("degenerate leg (k-means P=1, %d nodes): %d simplex iters (%d clean-up), warm/cold=%d/%d; NoPerturb ablation: %d iters, %d cold\n",
 		d.BBNodes, d.SimplexIters, d.CleanupIters, d.WarmLPs, d.ColdLPs, d.NoPerturbIters, d.NoPerturbCold)
-	if !stats.UsedILP {
-		fatal(fmt.Errorf("solver experiment: degenerate fixture no longer enters the tree search (rows=%d)", stats.ModelRows))
-	}
-	if d.PerturbedLPs == 0 {
-		fatal(fmt.Errorf("solver experiment: degenerate leg reports no perturbed relaxations — EXPAND perturbation is not reaching the tree search"))
-	}
-	if d.CleanupIters > d.SimplexIters/10 {
-		fatal(fmt.Errorf("solver experiment: degenerate leg spends %d of %d iterations in shift-removal clean-up", d.CleanupIters, d.SimplexIters))
+	return []gate{
+		{"degenerate-enters-tree", !stats.UsedILP, func() error {
+			return fmt.Errorf("solver experiment: degenerate fixture no longer enters the tree search (rows=%d)", stats.ModelRows)
+		}},
+		{"degenerate-perturbed", d.PerturbedLPs == 0, func() error {
+			return fmt.Errorf("solver experiment: degenerate leg reports no perturbed relaxations — EXPAND perturbation is not reaching the tree search")
+		}},
+		{"degenerate-cleanup-share", d.CleanupIters > d.SimplexIters/10, func() error {
+			return fmt.Errorf("solver experiment: degenerate leg spends %d of %d iterations in shift-removal clean-up", d.CleanupIters, d.SimplexIters)
+		}},
 	}
 }
 
@@ -794,32 +825,14 @@ func runDegenerateLeg(out *solverJSON) {
 // could not carry: the spmv_N7 P=4 holistic scheduling ILP (4856 rows —
 // beyond the former 3000-row DefaultMaxModelRows) enters tree search
 // under a binding node limit, and the factorization counters are
-// recorded. Hard gates pin the structural wins — the model actually
+// recorded. Its gates pin the structural wins — the model actually
 // enters the search, fill-in stays within a small multiple of the basis
 // nonzeros, and warm nodes reuse factors (hot or replayed) instead of
 // refactorizing from scratch; the trajectory gates against -baseline
-// live with the other baseline checks in runSolver.
-func runLULeg(out *solverJSON) {
-	inst, err := workloads.ByName("spmv_N7")
-	if err != nil {
-		fatal(fmt.Errorf("solver experiment (LU leg): %w", err))
-	}
-	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
+// are in baselineGates.
+func runLULeg(out *solverJSON) []gate {
 	var lu lp.FactorStats
-	opts := ilpsched.Options{
-		Model:             mbsp.Sync,
-		TimeLimit:         2 * time.Minute, // backstop; the node limit binds
-		NodeLimit:         4,
-		LocalSearchBudget: 1,
-		Seed:              7,
-		LUStats:           &lu,
-	}
-	start := time.Now()
-	_, stats, err := ilpsched.Solve(inst.DAG, arch, opts)
-	if err != nil {
-		fatal(fmt.Errorf("solver experiment (LU leg): %w", err))
-	}
-	elapsed := time.Since(start)
+	stats, elapsed := runILPLeg("LU leg", "spmv_N7", 4, 4, mip.LPWarm, &lu)
 	l := &luJSON{
 		Instance: "spmv_N7-P4", ModelRows: stats.ModelRows,
 		BBNodes: stats.ILPNodes, SimplexIters: stats.SimplexIters,
@@ -841,20 +854,22 @@ func runLULeg(out *solverJSON) {
 		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.Refactors, l.EtaPivots,
 		l.HotSolves, l.Replays, l.FillNnz, l.BasisNnz, l.FillRatio,
 		l.FactorSeconds, l.SolveSeconds, l.Seconds, 100*l.TrisolveShare)
-	if !stats.UsedILP {
-		fatal(fmt.Errorf("solver experiment: LU leg no longer enters the tree search (rows=%d, status=%s) — the dense-ceiling unlock regressed", stats.ModelRows, stats.ILPStatus))
-	}
-	if stats.ModelRows <= 3000 {
-		fatal(fmt.Errorf("solver experiment: LU leg fixture has %d rows — no longer beyond the former dense ceiling, the leg proves nothing", stats.ModelRows))
-	}
-	if l.FillRatio > 4 {
-		fatal(fmt.Errorf("solver experiment: LU leg fill ratio %.2fx — factor storage is no longer sparse", l.FillRatio))
-	}
-	if l.Refactors < 1 {
-		fatal(fmt.Errorf("solver experiment: LU leg reports no refactorizations — the counters are not wired"))
-	}
-	if l.HotSolves+l.Replays < 1 {
-		fatal(fmt.Errorf("solver experiment: LU leg reports no hot or replayed warm starts — warm nodes are refactorizing from scratch"))
+	return []gate{
+		{"lu-enters-tree", !stats.UsedILP, func() error {
+			return fmt.Errorf("solver experiment: LU leg no longer enters the tree search (rows=%d, status=%s) — the dense-ceiling unlock regressed", stats.ModelRows, stats.ILPStatus)
+		}},
+		{"lu-beyond-dense-ceiling", stats.ModelRows <= 3000, func() error {
+			return fmt.Errorf("solver experiment: LU leg fixture has %d rows — no longer beyond the former dense ceiling, the leg proves nothing", stats.ModelRows)
+		}},
+		{"lu-sparse-fill", l.FillRatio > 4, func() error {
+			return fmt.Errorf("solver experiment: LU leg fill ratio %.2fx — factor storage is no longer sparse", l.FillRatio)
+		}},
+		{"lu-refactors-wired", l.Refactors < 1, func() error {
+			return fmt.Errorf("solver experiment: LU leg reports no refactorizations — the counters are not wired")
+		}},
+		{"lu-factor-reuse", l.HotSolves+l.Replays < 1, func() error {
+			return fmt.Errorf("solver experiment: LU leg reports no hot or replayed warm starts — warm nodes are refactorizing from scratch")
+		}},
 	}
 }
 

@@ -3,7 +3,6 @@ package bsp
 import (
 	"time"
 
-	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
 	"mbsp/internal/lp"
 	"mbsp/internal/mip"
@@ -13,7 +12,6 @@ import (
 // stage-1 baseline, "similar to [36]").
 type ILPOptions struct {
 	G, L      float64
-	Steps     int           // superstep horizon; 0 derives it from the BSPg warm start
 	TimeLimit time.Duration // default 10s
 	NodeLimit int           // default 3000
 	// Workers bounds the goroutines solving branch-and-bound node
@@ -23,9 +21,6 @@ type ILPOptions struct {
 	// MaxModelRows falls back to the BSPg schedule when the model would
 	// exceed this many rows. Default mip.DefaultMaxModelRows.
 	MaxModelRows int
-	// Inject threads the deterministic fault-injection harness into the
-	// branch-and-bound tree (mip.Options.Inject).
-	Inject *faultinject.Injector
 }
 
 // ILP formulates BSP scheduling (no memory constraints) as an integer
@@ -53,13 +48,8 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 	if opts.MaxModelRows == 0 {
 		opts.MaxModelRows = mip.DefaultMaxModelRows
 	}
-	S := opts.Steps
-	if S == 0 {
-		S = warm.NumSteps + 1
-	}
-	if warm.NumSteps > S {
-		return warm, nil // cannot encode the warm start; stay with it
-	}
+	// One superstep beyond the warm start's horizon.
+	S := warm.NumSteps + 1
 
 	n := g.N()
 	m := mip.NewModel()
@@ -168,8 +158,10 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 		}
 	}
 	// Superstep usage for the L term.
+	usedIdx := make([]int, S)
 	for s := 0; s < S; s++ {
 		used := m.AddBinary("used", opts.L)
+		usedIdx[s] = used
 		for q := 0; q < p; q++ {
 			for v := 0; v < n; v++ {
 				if !g.IsSource(v) {
@@ -226,20 +218,8 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 			}
 		}
 	}
-	// "used" indicators: set from warm schedule. Their variable indices
-	// are the trailing binaries; recompute by scanning names.
-	for j := 0; j < m.NumVars(); j++ {
-		if m.Name(j) == "used" {
-			ws[j] = 0
-		}
-	}
-	usedIdx := make([]int, 0, S)
-	for j := 0; j < m.NumVars(); j++ {
-		if m.Name(j) == "used" {
-			usedIdx = append(usedIdx, j)
-		}
-	}
-	for s := 0; s < S && s < len(usedIdx); s++ {
+	// "used" indicators: set from warm schedule.
+	for s := 0; s < S; s++ {
 		for v := 0; v < n; v++ {
 			if !g.IsSource(v) && warm.Step[v] == s {
 				ws[usedIdx[s]] = 1
@@ -250,7 +230,7 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 
 	res := m.Solve(mip.Options{
 		TimeLimit: opts.TimeLimit, NodeLimit: opts.NodeLimit,
-		WarmStart: ws, Workers: opts.Workers, Inject: opts.Inject,
+		WarmStart: ws, Workers: opts.Workers,
 	})
 	if res.X == nil {
 		return warm, nil

@@ -366,40 +366,6 @@ func (g *DAG) IsAcyclicPartition(part []int, k int) bool {
 	return err == nil
 }
 
-// Ancestors returns the set of ancestors of v (excluding v) as a boolean
-// slice.
-func (g *DAG) Ancestors(v int) []bool {
-	seen := make([]bool, g.N())
-	stack := append([]int(nil), g.in[v]...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		stack = append(stack, g.in[u]...)
-	}
-	return seen
-}
-
-// Descendants returns the set of descendants of v (excluding v) as a
-// boolean slice.
-func (g *DAG) Descendants(v int) []bool {
-	seen := make([]bool, g.N())
-	stack := append([]int(nil), g.out[v]...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		stack = append(stack, g.out[u]...)
-	}
-	return seen
-}
-
 // String returns a short description of the DAG.
 func (g *DAG) String() string {
 	return fmt.Sprintf("DAG(%s: n=%d, m=%d)", g.name, g.N(), g.M())

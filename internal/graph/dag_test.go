@@ -198,18 +198,6 @@ func TestQuotientAndAcyclicPartition(t *testing.T) {
 	}
 }
 
-func TestAncestorsDescendants(t *testing.T) {
-	g := Diamond()
-	anc := g.Ancestors(3)
-	if !anc[0] || !anc[1] || !anc[2] || anc[3] {
-		t.Fatalf("ancestors of sink=%v", anc)
-	}
-	des := g.Descendants(0)
-	if !des[1] || !des[2] || !des[3] || des[0] {
-		t.Fatalf("descendants of source=%v", des)
-	}
-}
-
 func TestRoundTripIO(t *testing.T) {
 	g := RandomLayered("rt", 4, 5, 0.4, 7, 5, 1)
 	var buf bytes.Buffer

@@ -40,8 +40,6 @@ type Options struct {
 	// solver slack for better solutions (Lemma 6.1 shows empty steps do
 	// not certify optimality, so slack genuinely matters). Default 2.
 	ExtraSteps int
-	// Steps overrides the time horizon T entirely when > 0.
-	Steps int
 	// NoRecompute forbids computing a node more than once across all
 	// processors and steps.
 	NoRecompute bool

@@ -59,9 +59,6 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 		skel = explodeSkeleton(skel, arch.P)
 	}
 	T := len(skel) + opts.ExtraSteps
-	if opts.Steps > 0 {
-		T = opts.Steps
-	}
 	im := buildModel(g, arch, opts, T)
 	stats.Steps = T
 	stats.ModelVars = im.m.NumVars()

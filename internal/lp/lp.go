@@ -1,7 +1,7 @@
 // Package lp implements a linear-programming solver: a bounded-variable
 // simplex method over sparse column-major (CSC) constraint storage with
-// Devex (approximate steepest-edge) pricing, a Dantzig/Bland fallback,
-// and periodic basis refactorization.
+// Devex (approximate steepest-edge) pricing, a Bland fallback under
+// prolonged degeneracy, and periodic basis refactorization.
 //
 // Two entry points serve the MILP branch-and-bound in package mip:
 //
@@ -138,24 +138,10 @@ type Result struct {
 	CleanupIters int
 }
 
-// Pricing selects the primal pricing rule.
-type Pricing int8
-
-const (
-	// PricingDevex is the default: approximate steepest-edge reference
-	// weights, falling back to Bland's rule under prolonged degeneracy.
-	PricingDevex Pricing = iota
-	// PricingDantzig selects the classical most-negative-reduced-cost
-	// rule (the dense reference solver's rule); kept for ablations.
-	PricingDantzig
-)
-
 // Options tunes the solver. Zero values select defaults.
 type Options struct {
 	Deadline time.Time       // abort with IterLimit when exceeded (checked periodically)
 	Cancel   <-chan struct{} // abort with IterLimit when closed (checked periodically)
-	// Pricing selects the primal pricing rule (default Devex).
-	Pricing Pricing
 	// FreshFactor forces SolveFrom to reconstruct the factorization from
 	// the basis snapshot even when the snapshot matches the instance's
 	// live factorization. Since the sparse LU core, reconstruction

@@ -773,9 +773,9 @@ func (s *spx) aborted() bool { return s.abortSet }
 const blandRecovery = 8
 
 // primal runs bounded-variable primal simplex iterations for objective c
-// until optimal, unbounded, or the budget runs out. Pricing is Devex by
-// default (Dantzig under Options.Pricing), with Bland's rule under
-// prolonged degeneracy (reverting to Devex after a nondegenerate run).
+// until optimal, unbounded, or the budget runs out. Pricing is Devex,
+// with Bland's rule under prolonged degeneracy (reverting to Devex after
+// a nondegenerate run).
 // The ratio test takes the exact minimum ratio and breaks ties by the
 // largest pivot magnitude — on degenerate vertices this trades a
 // zero-length step on a tiny pivot for one on a stable pivot, and the
@@ -786,7 +786,6 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 	}
 	m := s.m
 	w := s.w[:m]
-	devex := s.opts.Pricing == PricingDevex
 	for j := 0; j < s.n; j++ {
 		s.gamma[j] = 1
 	}
@@ -823,11 +822,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 				enter, dir = j, dd
 				break
 			}
-			score := viol
-			if devex {
-				score = viol * viol / s.gamma[j]
-			}
-			if score > bestScore {
+			if score := viol * viol / s.gamma[j]; score > bestScore {
 				bestScore, enter, dir = score, j, dd
 			}
 		}
@@ -968,7 +963,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		}
 		gammaEnter := s.gamma[enter]
 		alphaE := w[leave]
-		if devex && !useBland {
+		if !useBland {
 			s.btranRow(leave, s.rho[:m]) // pre-pivot row
 		}
 		s.stat[enter] = basic
@@ -976,7 +971,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		if !s.pivotUpdate(enter, leave, w) {
 			return IterLimit, it // excluded by the pre-pivot magnitude check
 		}
-		if devex && !useBland {
+		if !useBland {
 			// Devex reference-weight update from the pre-pivot row.
 			s.gamma[lv] = math.Max(gammaEnter/(alphaE*alphaE), 1)
 			ratio2 := gammaEnter / (alphaE * alphaE)

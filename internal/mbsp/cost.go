@@ -1,7 +1,5 @@
 package mbsp
 
-import "fmt"
-
 // SyncCost evaluates the synchronous (Multi-BSP style) cost of the
 // schedule:
 //
@@ -34,54 +32,6 @@ func (s *Schedule) SyncCost() float64 {
 		total += maxComp + maxSave + maxLoad + s.Arch.L
 	}
 	return total
-}
-
-// CostBreakdown summarizes where a schedule's synchronous cost comes
-// from.
-type CostBreakdown struct {
-	Compute float64 // Σ max_p compute-phase cost
-	Save    float64 // Σ max_p save-phase cost
-	Load    float64 // Σ max_p load-phase cost
-	Sync    float64 // L · number of supersteps
-}
-
-// Total returns the synchronous total of the breakdown.
-func (c CostBreakdown) Total() float64 { return c.Compute + c.Save + c.Load + c.Sync }
-
-func (c CostBreakdown) String() string {
-	return fmt.Sprintf("cost{comp=%.4g save=%.4g load=%.4g sync=%.4g total=%.4g}",
-		c.Compute, c.Save, c.Load, c.Sync, c.Total())
-}
-
-// SyncCostBreakdown computes the synchronous cost split by phase kind.
-func (s *Schedule) SyncCostBreakdown() CostBreakdown {
-	var b CostBreakdown
-	for i := range s.Steps {
-		var maxComp, maxSave, maxLoad float64
-		for p := range s.Steps[i].Procs {
-			ps := &s.Steps[i].Procs[p]
-			var comp, save, load float64
-			for _, op := range ps.Comp {
-				if op.Kind == OpCompute {
-					comp += s.Graph.Comp(op.Node)
-				}
-			}
-			for _, v := range ps.Save {
-				save += s.Arch.G * s.Graph.Mem(v)
-			}
-			for _, v := range ps.Load {
-				load += s.Arch.G * s.Graph.Mem(v)
-			}
-			maxComp = max(maxComp, comp)
-			maxSave = max(maxSave, save)
-			maxLoad = max(maxLoad, load)
-		}
-		b.Compute += maxComp
-		b.Save += maxSave
-		b.Load += maxLoad
-		b.Sync += s.Arch.L
-	}
-	return b
 }
 
 // AsyncCost evaluates the asynchronous cost (makespan) of the schedule.

@@ -55,10 +55,6 @@ func TestSyncCostMinimalSchedule(t *testing.T) {
 	if got := s.SyncCost(); got != want {
 		t.Fatalf("SyncCost=%g want %g", got, want)
 	}
-	b := s.SyncCostBreakdown()
-	if b.Total() != want || b.Compute != 3 || b.Load != 2 || b.Save != 4 || b.Sync != 10 {
-		t.Fatalf("breakdown=%v", b)
-	}
 }
 
 func TestAsyncCostMinimalSchedule(t *testing.T) {

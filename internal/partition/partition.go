@@ -103,12 +103,15 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 	for v := 0; v < n; v++ {
 		pv[v] = m.AddBinary("part", 0)
 	}
+	// cutIdx[k] is the cut indicator of the k-th edge in (u, child) order.
+	cutIdx := make([]int, 0, g.M())
 	for u := 0; u < n; u++ {
 		for _, v := range g.Children(u) {
 			// Acyclicity: part_u ≤ part_v.
 			m.AddLE(0, lp.Coef{Var: pv[u], Val: 1}, lp.Coef{Var: pv[v], Val: -1})
 			// Cut indicator.
 			c := m.AddBinary("cut", 1)
+			cutIdx = append(cutIdx, c)
 			m.AddGE(0, lp.Coef{Var: c, Val: 1}, lp.Coef{Var: pv[v], Val: -1}, lp.Coef{Var: pv[u], Val: 1})
 		}
 	}
@@ -135,21 +138,6 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 		ws[pv[v]] = float64(wsPart[v])
 	}
 	// Cut indicators for the warm start.
-	ci := 0
-	for u := 0; u < n; u++ {
-		for _, v := range g.Children(u) {
-			_ = v
-			ci++
-		}
-	}
-	// Re-scan to fill cut warm values (cut vars interleave with part
-	// vars; identify them by name).
-	cutIdx := make([]int, 0, g.M())
-	for j := 0; j < m.NumVars(); j++ {
-		if m.Name(j) == "cut" {
-			cutIdx = append(cutIdx, j)
-		}
-	}
 	k := 0
 	for u := 0; u < n; u++ {
 		for _, v := range g.Children(u) {
@@ -189,10 +177,7 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 // GreedyBipartition is the heuristic fallback: a topological prefix split
 // at the position minimizing the cut subject to the balance bound.
 // Returns graph.ErrCyclic for a cyclic input graph.
-func GreedyBipartition(g *graph.DAG, minFraction float64) ([]int, int, error) {
-	if minFraction == 0 {
-		minFraction = 1.0 / 3.0
-	}
+func GreedyBipartition(g *graph.DAG) ([]int, int, error) {
 	n := g.N()
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -231,8 +216,8 @@ type RecursiveOptions struct {
 	// MaxPartSize: parts at or below this size stop splitting (the paper
 	// uses 60 with a commercial solver; our default is 24).
 	MaxPartSize int
-	// UseILP selects the exact bipartitioner (default true); the greedy
-	// fallback is always used when the ILP fails or for ablation.
+	// UseILP selects the exact bipartitioner (the zero value uses the
+	// greedy split); the greedy fallback also runs when the ILP fails.
 	UseILP    bool
 	TimeLimit time.Duration // per bipartition
 	// NodeLimit bounds each bipartition's branch-and-bound tree. Unlike
@@ -302,7 +287,7 @@ func Recursive(g *graph.DAG, opts RecursiveOptions) (Result, error) {
 			}
 		}
 		if part == nil {
-			if p, _, gerr := GreedyBipartition(sub, minFraction); gerr == nil {
+			if p, _, gerr := GreedyBipartition(sub); gerr == nil {
 				part = p
 			}
 		}

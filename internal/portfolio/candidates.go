@@ -58,13 +58,7 @@ func DefaultCandidates(g *graph.DAG, arch mbsp.Arch) []Candidate {
 				}
 			}),
 			pipelineCandidate("cilk+lru", func(opts Options) twostage.Pipeline {
-				return twostage.Pipeline{
-					Name: "Cilk+LRU",
-					Stage1: func(g *graph.DAG, p int) (*bsp.Schedule, error) {
-						return bsp.Cilk(g, p, candidateSeed(opts.Seed, "cilk+lru"))
-					},
-					Policy: memmgr.LRU{},
-				}
+				return twostage.CilkLRU(candidateSeed(opts.Seed, "cilk+lru"))
 			}),
 		)
 	}

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"mbsp/internal/bsp"
-	"mbsp/internal/graph"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/memmgr"
 	"mbsp/internal/twostage"
@@ -166,14 +165,4 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 	}
 	res.Schedule, res.Cost = best, bestCost
 	return res
-}
-
-// ImproveFromGraph is a convenience wrapper that builds the baseline
-// schedule itself and then improves it.
-func ImproveFromGraph(g *graph.DAG, arch mbsp.Arch, opts Options) (Result, error) {
-	base, err := twostage.BSPgClairvoyant(arch.G, arch.L).Run(g, arch)
-	if err != nil {
-		return Result{}, err
-	}
-	return Improve(base, opts), nil
 }

@@ -79,13 +79,11 @@ type Config struct {
 	// ComputeTimeout is the server-side budget for one admitted
 	// portfolio run (independent of any per-request deadline, so a
 	// short-deadline request cannot starve the cache of the full-fidelity
-	// result its computation was already paying for). Default 60s.
+	// result its computation was already paying for). It also caps the
+	// per-request deadline_ms parameter. Default 60s.
 	ComputeTimeout time.Duration
 	// MaxRequestBytes caps the request body. Default 8 MiB.
 	MaxRequestBytes int64
-	// MaxDeadline caps the per-request deadline_ms parameter. Default
-	// ComputeTimeout.
-	MaxDeadline time.Duration
 
 	// Seed, ILPNodeLimit, MaxModelRows, MIPWorkers and Workers pin the
 	// deterministic portfolio configuration; Seed, ILPNodeLimit and
@@ -129,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 8 << 20
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = c.ComputeTimeout
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -285,7 +280,7 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 			return def, nil
 		}
 		var f float64
-		if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
+		if _, err := fmt.Sscanf(v, "%g", &f); err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return 0, &httpError{http.StatusBadRequest, fmt.Sprintf("bad %s=%q", name, v)}
 		}
 		return f, nil
@@ -293,6 +288,9 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 	p, err := num("p", 4)
 	if err != nil {
 		return nil, err
+	}
+	if p != math.Trunc(p) {
+		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("bad p=%q (not an integer)", q.Get("p"))}
 	}
 	gcost, err := num("g", 1)
 	if err != nil {
@@ -332,9 +330,10 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 		if err != nil || ms < 0 {
 			return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("bad deadline_ms=%q", v)}
 		}
-		deadline = time.Duration(ms * float64(time.Millisecond))
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
+		// Clamp before converting: a huge ms overflows the Duration.
+		deadline = s.cfg.ComputeTimeout
+		if ms < float64(deadline)/float64(time.Millisecond) {
+			deadline = time.Duration(ms * float64(time.Millisecond))
 		}
 	}
 	req := &request{g: g, arch: arch, model: model, deadline: deadline}

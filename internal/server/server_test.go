@@ -427,6 +427,11 @@ func TestBadRequests(t *testing.T) {
 		{"zero-p", "p=0", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 		{"bad-model", "p=2&model=psync", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 		{"bad-deadline", "p=2&deadline_ms=-5", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+		{"nan-g", "p=2&g=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+		{"inf-l", "p=2&l=Inf", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+		{"fractional-p", "p=2.7", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+		{"nan-deadline", "p=2&deadline_ms=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+		{"inf-deadline", "p=2&deadline_ms=Inf", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 		{"oversized", "p=2", "# " + strings.Repeat("x", 1<<17) + "\n", http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -441,6 +446,18 @@ func TestBadRequests(t *testing.T) {
 				t.Fatalf("error payload not JSON: %s", data)
 			}
 		})
+	}
+
+	// A deadline too large for a Duration is clamped to ComputeTimeout
+	// rather than overflowing past the cap.
+	hr := httptest.NewRequest(http.MethodPost, "/v1/schedule?p=2&deadline_ms=1e20",
+		strings.NewReader("dag x 1 0\nnode 0 1 1\n"))
+	req, err := srv.parseRequest(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.deadline != srv.cfg.ComputeTimeout {
+		t.Fatalf("deadline_ms=1e20: deadline %v, want the %v cap", req.deadline, srv.cfg.ComputeTimeout)
 	}
 
 	// An instance that admits no valid schedule at all (cache smaller

@@ -4,7 +4,8 @@
 # Usage: scripts/verify.sh [outdir]
 #
 #   1. go build ./...
-#   2. go vet ./...
+#   2. go vet ./..., then go vet in the nested perfbench module, which
+#      the root ./... skips (an API break there would otherwise pass);
 #   2a. gofmt -l over every Go file (fails if it lists any);
 #   2b. staticcheck ./...  (skipped with a warning when the binary is
 #       not installed — the container image does not ship it);
@@ -12,6 +13,8 @@
 #      sparse/warm-started simplex against the dense cold-start
 #      reference, the GOMAXPROCS/worker-count determinism suite, and the
 #      parallel branch-and-bound determinism matrix)
+#   3a. FuzzGraphRead for a short fixed -fuzztime: graph.Read, the HTTP
+#      body parser, never panics and round-trips what it accepts;
 #   4. the chaos leg: the anytime portfolio on the tiny dataset under a
 #      50ms deadline with the seeded fault-injection harness live,
 #      under -race, one leg per injection mode plus all modes at once,
@@ -59,6 +62,9 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== go vet ./... (perfbench module)"
+(cd perfbench && GOWORK=off go vet ./...)
+
 echo "== gofmt -l"
 unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
 if [ -n "${unformatted}" ]; then
@@ -76,6 +82,9 @@ fi
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== fuzz: FuzzGraphRead (10s)"
+go test -run '^$' -fuzz '^FuzzGraphRead$' -fuzztime 10s ./internal/graph
 
 echo "== chaos leg: anytime portfolio under fault injection (-race)"
 for fault_seed in 42 1337; do
