@@ -480,6 +480,8 @@ type luJSON struct {
 	FactorSeconds float64 `json:"factor_seconds"`
 	SolveSeconds  float64 `json:"solve_seconds"`       // FTRAN + BTRAN time
 	TrisolveShare float64 `json:"trisolve_time_share"` // SolveSeconds / Seconds
+	BtranSeconds  float64 `json:"btran_seconds"`       // BTRAN part of SolveSeconds
+	BtranShare    float64 `json:"btran_time_share"`    // BtranSeconds / Seconds
 	Seconds       float64 `json:"seconds"`
 }
 
@@ -841,6 +843,7 @@ func runLULeg(out *solverJSON) []gate {
 		FillNnz: lu.FillNnz, BasisNnz: lu.BasisNnz,
 		FactorSeconds: float64(lu.FactorNanos) / 1e9,
 		SolveSeconds:  float64(lu.SolveNanos) / 1e9,
+		BtranSeconds:  float64(lu.BtranNanos) / 1e9,
 		Seconds:       elapsed.Seconds(),
 	}
 	if l.BasisNnz > 0 {
@@ -848,12 +851,13 @@ func runLULeg(out *solverJSON) []gate {
 	}
 	if l.Seconds > 0 {
 		l.TrisolveShare = l.SolveSeconds / l.Seconds
+		l.BtranShare = l.BtranSeconds / l.Seconds
 	}
 	out.LU = l
-	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN+BTRAN)\n",
+	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN+BTRAN, %.0f%% in BTRAN)\n",
 		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.Refactors, l.EtaPivots,
 		l.HotSolves, l.Replays, l.FillNnz, l.BasisNnz, l.FillRatio,
-		l.FactorSeconds, l.SolveSeconds, l.Seconds, 100*l.TrisolveShare)
+		l.FactorSeconds, l.SolveSeconds, l.Seconds, 100*l.TrisolveShare, 100*l.BtranShare)
 	return []gate{
 		{"lu-enters-tree", !stats.UsedILP, func() error {
 			return fmt.Errorf("solver experiment: LU leg no longer enters the tree search (rows=%d, status=%s) — the dense-ceiling unlock regressed", stats.ModelRows, stats.ILPStatus)

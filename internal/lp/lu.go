@@ -1,6 +1,10 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // This file implements the sparse LU factorization that backs the
 // simplex basis: Markowitz-style pivot selection with threshold partial
@@ -9,6 +13,19 @@ import "math"
 // m×m explicit inverse (kept in SolveDense as the cross-check oracle):
 // per-iteration work drops from O(m²) to O(nnz of the factors), which is
 // what lifts the row ceiling on the scheduling ILPs.
+//
+// BTRAN is hypersparse (Hall & McKinnon 2005): simplex BTRAN right-hand
+// sides are unit vectors or cost vectors with a handful of nonzeros,
+// while each eta holds a large fraction of m entries. The eta pass keeps
+// the sorted nonzero positions of the right-hand side and finds each
+// one's entry in an eta through a per-eta position bitmap with per-word
+// ranks, so an eta's dot product costs the RHS's nonzeros, not the eta's
+// length; past m/btranDenseFrac nonzeros it streams the eta entries as
+// a dense gather would. The Uᵀ solve runs by rows in stage order,
+// scattering only from stages whose value is nonzero. Every accumulator
+// still receives the same nonzero terms in the same order as the dense
+// gather, so the results equal it under == (only the sign of an exact
+// zero may differ, and no caller reads that sign).
 //
 // Everything here is deterministic: pivot selection scans candidates in
 // a fixed order with exact tie-breaks, and every solve applies float
@@ -41,9 +58,23 @@ const luAbsPivot = 1e-10
 // tighter limits on the large registry models.
 const luScanLimit = 32
 
-// luEta is one product-form update: basis position `leave` was replaced
-// by a column whose FTRAN image had value piv at position leave; the
-// remaining nonzeros of that image live in the shared idx/val arrays.
+// btranDenseFrac is the switch point of the BTRAN eta pass: once the
+// right-hand side has more than m/btranDenseFrac nonzero positions, the
+// remaining etas stream their entries instead of looking up each
+// nonzero. Both paths add the same nonzero terms in the same order, so
+// the choice moves only time, never a nonzero bit of the result.
+const btranDenseFrac = 10
+
+// etaIndexMaxRows bounds the eta position index: its per-word ranks are
+// uint16, and a rank stays below the row count. Larger factors keep the
+// streaming eta pass.
+const etaIndexMaxRows = 1 << 16
+
+// luFactor is a sparse LU factorization of the basis, P·B·Q = L·U,
+// followed by a product-form eta file: eta e records that basis position
+// eLeave[e] was replaced by a column whose FTRAN image had value ePiv[e]
+// at that position; the image's other nonzeros are eIdx/eVal over
+// [ePtr[e], ePtr[e+1]), positions ascending.
 type luFactor struct {
 	m int
 
@@ -64,18 +95,21 @@ type luFactor struct {
 	uVal []float64
 	upiv []float64 // pivot value per stage
 
-	// U by column (for BTRAN): entries of basis position c are
-	// (stage, value) pairs, stages ascending.
-	ucPtr   []int32
-	ucStage []int32
-	ucVal   []float64
-
 	// Product-form eta file appended by appendEta.
 	ePtr   []int32
 	eIdx   []int32
 	eVal   []float64
 	eLeave []int32
 	ePiv   []float64
+
+	// Eta position index for the hypersparse BTRAN: eta e owns words
+	// [e·eWords, (e+1)·eWords) of eBits (bit i set iff position i is in
+	// its eIdx run) and of eRank (set bits in the eta's earlier words),
+	// so position i sits at ePtr[e] + rank + popcount of the bits below
+	// it. eWords is 0 when the factor is too large to index.
+	eWords int
+	eBits  []uint64
+	eRank  []uint16
 
 	nnzFactor int // nnz(L) + nnz(U) + m pivots after factor()
 	nnzBasis  int // nnz of the factored basis matrix
@@ -94,7 +128,7 @@ type luFactor struct {
 	elimRows []int32 // snapshot of the pivot column's rows
 	mergeInd []int32 // row-merge output scratch
 	mergeVal []float64
-	zs       []float64 // BTRAN stage scratch
+	nzPos    []int32 // BTRAN scratch: sorted nonzero positions of the RHS
 }
 
 func newLUFactor(m int) *luFactor {
@@ -105,7 +139,6 @@ func newLUFactor(m int) *luFactor {
 		lPtr:        make([]int32, m+1),
 		uPtr:        make([]int32, m+1),
 		upiv:        make([]float64, m),
-		ucPtr:       make([]int32, m+1),
 		ePtr:        make([]int32, 1),
 		rowInd:      make([][]int32, m),
 		rowVal:      make([][]float64, m),
@@ -115,7 +148,9 @@ func newLUFactor(m int) *luFactor {
 		buckets:     make([][]int32, m+1),
 		acc:         make([]float64, m),
 		touched:     make([]int32, 0, m),
-		zs:          make([]float64, m),
+	}
+	if m <= etaIndexMaxRows {
+		f.eWords = (m + 63) / 64
 	}
 	return f
 }
@@ -127,16 +162,33 @@ func (f *luFactor) resetEtas() {
 	f.eVal = f.eVal[:0]
 	f.eLeave = f.eLeave[:0]
 	f.ePiv = f.ePiv[:0]
+	f.eBits = f.eBits[:0]
+	f.eRank = f.eRank[:0]
 }
 
 // appendEta records the product-form update for a basis change at
 // position leave with FTRAN image w (dense, by basis position). The
 // caller has already validated the pivot magnitude.
 func (f *luFactor) appendEta(leave int, w []float64) {
+	start := len(f.eIdx)
 	for i, v := range w[:f.m] {
 		if v != 0 && i != leave {
 			f.eIdx = append(f.eIdx, int32(i))
 			f.eVal = append(f.eVal, v)
+		}
+	}
+	if nw := f.eWords; nw > 0 {
+		at := len(f.eBits)
+		f.eBits = slices.Grow(f.eBits, nw)[:at+nw]
+		words := f.eBits[at:]
+		clear(words)
+		for _, i := range f.eIdx[start:] {
+			words[i>>6] |= 1 << (i & 63)
+		}
+		rank := 0
+		for _, wd := range words {
+			f.eRank = append(f.eRank, uint16(rank))
+			rank += bits.OnesCount64(wd)
 		}
 	}
 	f.ePtr = append(f.ePtr, int32(len(f.eIdx)))
@@ -291,7 +343,6 @@ func (f *luFactor) factor(col func(pos int) ([]int32, []float64)) bool {
 		f.eliminate(stage, pr, pc, piv)
 	}
 	if ok {
-		f.buildUTranspose()
 		f.nnzFactor = len(f.lVal) + len(f.uVal) + m
 	}
 	// Release row/column workspace for the next factorization.
@@ -438,41 +489,6 @@ func (f *luFactor) mergeRow(i int, pInd []int32, pVal []float64, l float64, pc i
 	f.rowVal[i], f.mergeVal = outV, aVal[:0]
 }
 
-// buildUTranspose assembles the column-wise view of U for BTRAN.
-func (f *luFactor) buildUTranspose() {
-	m := f.m
-	for c := 0; c <= m; c++ {
-		f.ucPtr[c] = 0
-	}
-	for _, c := range f.uCol {
-		f.ucPtr[c+1]++
-	}
-	for c := 0; c < m; c++ {
-		f.ucPtr[c+1] += f.ucPtr[c]
-	}
-	need := len(f.uCol)
-	if cap(f.ucStage) < need {
-		f.ucStage = make([]int32, need)
-		f.ucVal = make([]float64, need)
-	}
-	f.ucStage = f.ucStage[:need]
-	f.ucVal = f.ucVal[:need]
-	// Fill using a moving per-column cursor (posInBucket doubles as the
-	// cursor scratch — the buckets are spent once elimination finishes).
-	cur := f.posInBucket[:m]
-	for c := 0; c < m; c++ {
-		cur[c] = f.ucPtr[c]
-	}
-	for k := 0; k < m; k++ {
-		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
-			c := f.uCol[t]
-			f.ucStage[cur[c]] = int32(k)
-			f.ucVal[cur[c]] = f.uVal[t]
-			cur[c]++
-		}
-	}
-}
-
 // ftran solves B·w = b in place: b is the right-hand side indexed by
 // matrix row (destroyed), w receives the solution indexed by basis
 // position. The L pass skips stages whose pivot-row value is zero (the
@@ -513,29 +529,22 @@ func (f *luFactor) ftran(b, w []float64) {
 
 // btran solves Bᵀ·y = c in place: c is indexed by basis position
 // (destroyed), y receives the solution indexed by matrix row. Eta
-// transposes apply newest-first, then Uᵀ forward substitution and the
-// reverse Lᵀ sweep.
+// transposes apply newest-first, then the Uᵀ forward substitution (by
+// rows: each stage's solved value is scattered into the positions of
+// later stages, so every position still receives its terms in ascending
+// stage order) and the reverse Lᵀ sweep.
 func (f *luFactor) btran(c, y []float64) {
 	m := f.m
-	for e := len(f.eLeave) - 1; e >= 0; e-- {
-		lv := f.eLeave[e]
-		v := c[lv]
-		for q := f.ePtr[e]; q < f.ePtr[e+1]; q++ {
-			v -= f.eVal[q] * c[f.eIdx[q]]
-		}
-		c[lv] = v / f.ePiv[e]
-	}
-	zs := f.zs[:m]
+	f.btranEtas(c)
 	for k := 0; k < m; k++ {
-		cpos := f.pcol[k]
-		v := c[cpos]
-		for q := f.ucPtr[cpos]; q < f.ucPtr[cpos+1]; q++ {
-			v -= f.ucVal[q] * zs[f.ucStage[q]]
+		z := c[f.pcol[k]] / f.upiv[k]
+		y[f.prow[k]] = z
+		if z == 0 {
+			continue
 		}
-		zs[k] = v / f.upiv[k]
-	}
-	for k := 0; k < m; k++ {
-		y[f.prow[k]] = zs[k]
+		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+			c[f.uCol[t]] -= f.uVal[t] * z
+		}
 	}
 	for k := m - 1; k >= 0; k-- {
 		v := y[f.prow[k]]
@@ -543,6 +552,65 @@ func (f *luFactor) btran(c, y []float64) {
 			v -= f.lVal[t] * y[f.lRow[t]]
 		}
 		y[f.prow[k]] = v
+	}
+}
+
+// btranEtas applies the eta transposes to c newest-first: eta e sets
+// c[leave] = (c[leave] − Σ eVal·c[eIdx]) / ePiv, the sum taken over the
+// eta's positions ascending. While c has at most m/btranDenseFrac
+// nonzero positions, the sum walks c's sorted nonzero positions and
+// looks each up in the eta's position index, skipping zero terms (which
+// changes at most the sign of a zero sum); after that it streams the
+// eta's entries.
+func (f *luFactor) btranEtas(c []float64) {
+	e := len(f.eLeave) - 1
+	if e < 0 {
+		return
+	}
+	if nw := f.eWords; nw > 0 {
+		limit := f.m / btranDenseFrac
+		nz := f.nzPos[:0]
+		for i, v := range c[:f.m] {
+			if v != 0 {
+				nz = append(nz, int32(i))
+			}
+		}
+		for ; e >= 0 && len(nz) <= limit; e-- {
+			lv := f.eLeave[e]
+			v := c[lv]
+			base := f.ePtr[e]
+			words := f.eBits[e*nw : (e+1)*nw]
+			rank := f.eRank[e*nw : (e+1)*nw]
+			for _, p := range nz {
+				wd := words[p>>6]
+				bit := uint64(1) << (p & 63)
+				if wd&bit == 0 {
+					continue
+				}
+				if x := c[p]; x != 0 {
+					q := base + int32(rank[p>>6]) + int32(bits.OnesCount64(wd&(bit-1)))
+					v -= f.eVal[q] * x
+				}
+			}
+			v /= f.ePiv[e]
+			c[lv] = v
+			// A position that cancelled to zero stays listed, so one
+			// turning nonzero again is found, not inserted twice.
+			if v != 0 {
+				if at, found := slices.BinarySearch(nz, lv); !found {
+					nz = slices.Insert(nz, at, lv)
+				}
+			}
+		}
+		f.nzPos = nz[:0]
+	}
+	for ; e >= 0; e-- {
+		lv := f.eLeave[e]
+		v := c[lv]
+		for q := f.ePtr[e]; q < f.ePtr[e+1]; q++ {
+			v -= f.eVal[q] * c[f.eIdx[q]]
+		}
+		c[lv] = v / f.ePiv[e]
 	}
 }
 

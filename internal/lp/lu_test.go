@@ -392,3 +392,214 @@ func TestHotSolvesCounterFires(t *testing.T) {
 		t.Fatalf("FreshFactor did not bypass the hot path (stats %+v)", st)
 	}
 }
+
+// btranGather is the gather-form BTRAN that the hypersparse btran
+// replaced, kept as its reference: every eta streams all of its entries
+// (zero terms included) and the Uᵀ solve reads U by column through a
+// transposed copy, one dot product per stage.
+func btranGather(f *luFactor, c, y []float64) {
+	m := f.m
+	for e := len(f.eLeave) - 1; e >= 0; e-- {
+		lv := f.eLeave[e]
+		v := c[lv]
+		for q := f.ePtr[e]; q < f.ePtr[e+1]; q++ {
+			v -= f.eVal[q] * c[f.eIdx[q]]
+		}
+		c[lv] = v / f.ePiv[e]
+	}
+	// U by column: the entries of basis position p are (stage, value)
+	// pairs at [ucPtr[p], ucPtr[p+1]), stages ascending.
+	ucPtr := make([]int32, m+1)
+	for _, p := range f.uCol {
+		ucPtr[p+1]++
+	}
+	for p := 0; p < m; p++ {
+		ucPtr[p+1] += ucPtr[p]
+	}
+	ucStage := make([]int32, len(f.uCol))
+	ucVal := make([]float64, len(f.uCol))
+	cur := append([]int32(nil), ucPtr[:m]...)
+	for k := 0; k < m; k++ {
+		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+			p := f.uCol[t]
+			ucStage[cur[p]], ucVal[cur[p]] = int32(k), f.uVal[t]
+			cur[p]++
+		}
+	}
+	zs := make([]float64, m)
+	for k := 0; k < m; k++ {
+		p := f.pcol[k]
+		v := c[p]
+		for q := ucPtr[p]; q < ucPtr[p+1]; q++ {
+			v -= ucVal[q] * zs[ucStage[q]]
+		}
+		zs[k] = v / f.upiv[k]
+	}
+	for k := 0; k < m; k++ {
+		y[f.prow[k]] = zs[k]
+	}
+	for k := m - 1; k >= 0; k-- {
+		v := y[f.prow[k]]
+		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
+			v -= f.lVal[t] * y[f.lRow[t]]
+		}
+		y[f.prow[k]] = v
+	}
+}
+
+// etaRevivals counts, for the eta pass alone, the etas that turn a
+// position nonzero after it had cancelled to exactly zero earlier in the
+// same pass — the case where a nonzero-position list must not take the
+// position in twice. c is not modified.
+func etaRevivals(f *luFactor, c []float64) int {
+	c = append([]float64(nil), c...)
+	cancelled := make([]bool, f.m)
+	n := 0
+	for e := len(f.eLeave) - 1; e >= 0; e-- {
+		lv := f.eLeave[e]
+		v := c[lv]
+		for q := f.ePtr[e]; q < f.ePtr[e+1]; q++ {
+			v -= f.eVal[q] * c[f.eIdx[q]]
+		}
+		v /= f.ePiv[e]
+		switch {
+		case v == 0 && c[lv] != 0:
+			cancelled[lv] = true
+		case v != 0 && cancelled[lv]:
+			n++
+			cancelled[lv] = false
+		}
+		c[lv] = v
+	}
+	return n
+}
+
+// randomEta appends an eta whose leave position and entries (density
+// ~dens) are drawn from pool, with small integer values, so eta passes
+// over integer right-hand sides stay exact and cancel to exactly zero
+// often.
+func randomEta(rng *rand.Rand, f *luFactor, pool []int, dens float64) {
+	w := make([]float64, f.m)
+	for _, i := range pool {
+		if rng.Float64() < dens {
+			w[i] = float64(rng.Intn(5) - 2)
+		}
+	}
+	leave := pool[rng.Intn(len(pool))]
+	w[leave] = []float64{-2, -1, 1, 2}[rng.Intn(4)]
+	f.appendEta(leave, w)
+}
+
+// TestBtranSparseMatchesDense checks the hypersparse btran against the
+// gather-form reference on random sparse bases carrying 0…refactorEvery
+// etas, for unit, sparse (below the dense switch), dense (above it) and
+// integer right-hand sides whose entries cancel to exactly zero mid-pass
+// and turn nonzero again. Every entry must be equal under ==: the two
+// add the same nonzero terms in the same order, so only the sign of a
+// zero may differ.
+func TestBtranSparseMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	revivals := 0
+	for trial := 0; trial < 150; trial++ {
+		m := 20 + rng.Intn(180)
+		_, col := randomSparseMatrix(rng, m, 3/float64(m))
+		f := newLUFactor(m)
+		if !f.factor(col) {
+			continue
+		}
+		// Etas over all positions, or over a pool small enough that the
+		// whole pass stays below the dense switch: there a position that
+		// cancels and revives is read again by older etas.
+		limit := m / btranDenseFrac
+		pool := rng.Perm(m)
+		if trial%2 == 1 {
+			pool = pool[:limit/2]
+		}
+		nEta := rng.Intn(refactorEvery + 1)
+		dens := 0.01 + 0.4*rng.Float64()
+		for e := 0; e < nEta; e++ {
+			randomEta(rng, f, pool, dens)
+		}
+		for shape := 0; shape < 4; shape++ {
+			c := make([]float64, m)
+			var name string
+			switch shape {
+			case 0:
+				name = "unit"
+				c[rng.Intn(m)] = 1
+			case 1:
+				name = "sparse"
+				for k := 1 + rng.Intn(limit); k > 0; k-- {
+					c[rng.Intn(m)] = float64(rng.Intn(7) - 3)
+				}
+			case 2:
+				name = "dense"
+				for i := range c {
+					c[i] = rng.NormFloat64()
+				}
+			case 3:
+				name = "cancel"
+				// Small integers inside the eta pool.
+				for k := 1 + rng.Intn(limit/2); k > 0; k-- {
+					c[pool[rng.Intn(len(pool))]] = float64(rng.Intn(5) - 2)
+				}
+			}
+			revivals += etaRevivals(f, c)
+			want := make([]float64, m)
+			got := make([]float64, m)
+			btranGather(f, append([]float64(nil), c...), want)
+			f.btran(append([]float64(nil), c...), got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d m=%d etas=%d %s: y[%d]=%v, gather form %v", trial, m, nEta, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if revivals < 10 {
+		t.Fatalf("only %d cancel-then-revive eta steps exercised; fixture degenerated", revivals)
+	}
+}
+
+// BenchmarkBtran times one BTRAN on a fixed random 2000-row factor
+// carrying 64 etas: `unit` is the btranRow shape (one nonzero), `dense`
+// the duals shape (every entry nonzero).
+func BenchmarkBtran(b *testing.B) {
+	const m, nEta = 2000, 64
+	rng := rand.New(rand.NewSource(3))
+	_, col := randomSparseMatrix(rng, m, 3.0/m)
+	f := newLUFactor(m)
+	if !f.factor(col) {
+		b.Fatal("benchmark factor is singular")
+	}
+	w := make([]float64, m)
+	for f.nEtas() < nEta {
+		a := make([]float64, m)
+		for k := 0; k < 4; k++ {
+			a[rng.Intn(m)] = rng.NormFloat64()
+		}
+		leave := rng.Intn(m)
+		f.ftran(a, w)
+		if math.Abs(w[leave]) >= 1e-3 {
+			f.appendEta(leave, w)
+		}
+	}
+	unit := make([]float64, m)
+	unit[m/2] = 1
+	dense := make([]float64, m)
+	for i := range dense {
+		dense[i] = rng.NormFloat64()
+	}
+	c, y := make([]float64, m), make([]float64, m)
+	for _, bc := range []struct {
+		name string
+		rhs  []float64
+	}{{"unit", unit}, {"dense", dense}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(c, bc.rhs)
+				f.btran(c, y)
+			}
+		})
+	}
+}

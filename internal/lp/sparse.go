@@ -2,7 +2,7 @@ package lp
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -51,9 +51,11 @@ type FactorStats struct {
 	// FactorNanos and SolveNanos split the time spent inside the LU
 	// kernel: factorizations vs triangular solves (the benchmark's
 	// trisolve_time_share reads SolveNanos, FTRAN+BTRAN together, against
-	// the whole solve wall clock).
+	// the whole solve wall clock). BtranNanos is the BTRAN part of
+	// SolveNanos.
 	FactorNanos int64
 	SolveNanos  int64
+	BtranNanos  int64
 	// FillNnz and BasisNnz describe the most recent factorization:
 	// nnz(L)+nnz(U) against nnz(B). Their ratio is the fill-in factor the
 	// benchmark gates on.
@@ -71,6 +73,7 @@ func (st *FactorStats) Add(o FactorStats) {
 	st.Btrans += o.Btrans
 	st.FactorNanos += o.FactorNanos
 	st.SolveNanos += o.SolveNanos
+	st.BtranNanos += o.BtranNanos
 	if o.FillNnz > 0 {
 		st.FillNnz, st.BasisNnz = o.FillNnz, o.BasisNnz
 	}
@@ -663,8 +666,10 @@ func (s *spx) luFtran(b, w []float64) {
 func (s *spx) luBtran(c, y []float64) {
 	t0 := time.Now()
 	s.lu.btran(c, y)
+	d := int64(time.Since(t0))
 	s.in.stats.Btrans++
-	s.in.stats.SolveNanos += int64(time.Since(t0))
+	s.in.stats.SolveNanos += d
+	s.in.stats.BtranNanos += d
 }
 
 // ftran computes w = B⁻¹·a_j.
@@ -1118,7 +1123,15 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		for k := range s.candJ {
 			idx = append(idx, k)
 		}
-		sort.SliceStable(idx, func(a, b int) bool { return s.candR[idx[a]] < s.candR[idx[b]] })
+		slices.SortStableFunc(idx, func(a, b int) int {
+			switch ra, rb := s.candR[a], s.candR[b]; {
+			case ra < rb:
+				return -1
+			case rb < ra:
+				return 1
+			}
+			return 0
+		})
 		s.candIdx = idx
 		rem := math.Abs(s.x[bi] - target)
 		remTol := dualTol * boundScale(target)

@@ -7,8 +7,9 @@
 #
 # Usage: scripts/bench.sh [outdir]
 #
-#   1. BenchmarkLPSolve / BenchmarkMIPNode micro-benchmarks (one
-#      iteration: pricing-rule and warm-vs-cold iteration counts);
+#   1. BenchmarkLPSolve / BenchmarkMIPNode / BenchmarkBtran
+#      micro-benchmarks (one iteration: warm-vs-cold iteration counts,
+#      and one unit and one dense BTRAN on a fixed 64-eta factor);
 #   2. the solver experiment on the tiny registry dataset, which fails on
 #      warm/cold divergence, a warm-start regression, any Workers=4 vs
 #      Workers=1 divergence (the deterministic-node-accounting gate), or
@@ -32,8 +33,8 @@ set -eu
 cd "$(dirname "$0")/.."
 outdir="${1:-.}"
 
-echo "== micro-benchmarks: BenchmarkLPSolve, BenchmarkMIPNode (1 iteration)"
-go test -run '^$' -bench 'BenchmarkLPSolve|BenchmarkMIPNode' -benchtime 1x .
+echo "== micro-benchmarks: BenchmarkLPSolve, BenchmarkMIPNode, BenchmarkBtran (1 iteration)"
+go test -run '^$' -bench 'BenchmarkLPSolve|BenchmarkMIPNode|BenchmarkBtran' -benchtime 1x . ./internal/lp
 
 # Snapshot the previous results before the run overwrites them: the
 # regression gate compares dimensionless speedups against this baseline.
